@@ -10,9 +10,9 @@ import org.apache.spark.sql.functions._
   * every vertex whose degree is at most `2 (1 + eps) rho`, where
   * `rho = W(S)/|S|` is the current average degree — `O(log n)` rounds instead
   * of the `n` rounds of exact peeling. On positive-weight graphs this is a
-  * `2(1+eps)`-approximation of the densest subgraph; DCSGreedy uses it as the
-  * scale-out candidate generator for `Greedy(G_{D+})`, mirroring how the
-  * local Algorithm 1 is used at driver scale.
+  * `2(1+eps)`-approximation of the densest subgraph. It is the distributed
+  * counterpart of the local Algorithm 1; [[DCSGreedy]] does not call it, and
+  * the tests check it against the local peel.
   */
 object DistPeeling {
 
@@ -23,12 +23,15 @@ object DistPeeling {
   final case class DistPeelResult(best: Array[Long], density: Double, rounds: Seq[Round])
 
   /** Peels `edges` (canonical `src < dst`, `w` column) down to empty,
-    * returning the densest intermediate vertex set.
+    * returning the densest intermediate vertex set. When no round has a
+    * positive density, returns the smallest vertex id alone with density 0,
+    * as [[DCSGreedy]] does.
     */
   def densest(edges: DataFrame, eps: Double = 0.1, maxRounds: Int = 200): DistPeelResult = {
     var cur = edges.select("src", "dst", "w").localCheckpoint(true)
     var best: Array[Long] = Array.empty
     var bestDensity = Double.NegativeInfinity
+    var minVertex: Array[Long] = Array.empty
     val rounds = scala.collection.mutable.ArrayBuffer.empty[Round]
     var round = 0
     var done = false
@@ -40,10 +43,11 @@ object DistPeeling {
         .groupBy("v")
         .agg(sum("w") as "deg")
         .localCheckpoint(true)
-      val agg = degrees.agg(count("*") as "n", sum("deg") as "degSum").collect()(0)
+      val agg = degrees.agg(count("*") as "n", sum("deg") as "degSum", min("v") as "minV").collect()(0)
       val nV = agg.getLong(0)
       if (nV == 0) done = true
       else {
+        if (round == 1) minVertex = Array(agg.getLong(2))
         // W counts both orientations (paper convention), so W = sum of degrees
         // and rho = W/|S| is the average vertex degree
         val totalW = agg.getDouble(1)
@@ -68,9 +72,9 @@ object DistPeeling {
         }
       }
     }
-    // a single isolated vertex has density 0, so on graphs where every
-    // intermediate density is negative the trivial empty/singleton answer wins
-    if (bestDensity <= 0.0) DistPeelResult(Array.empty, 0.0, rounds.toSeq)
+    // a single vertex has density 0, so on graphs where no intermediate
+    // density is positive the trivial singleton answer wins
+    if (bestDensity <= 0.0) DistPeelResult(minVertex, 0.0, rounds.toSeq)
     else DistPeelResult(best, bestDensity, rounds.toSeq)
   }
 }

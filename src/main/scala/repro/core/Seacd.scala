@@ -24,20 +24,19 @@ object Seacd {
     *                approximate KKT reached by finite-precision descent
     */
   def run(st: AffinityState, expTol: Double = 1e-9, maxOuter: Int = 10000): Trace = {
-    var allowed = st.support
     var errors = 0
     var outer = 0
     var done = false
     while (!done && outer < maxOuter) {
       outer += 1
-      CoordinateDescent.descend(st, allowed, CoordinateDescent.epsFor(allowed.length))
+      val support = st.support
+      CoordinateDescent.descend(st, support, CoordinateDescent.epsFor(support.length))
       val fBefore = st.f
       val z = Expansion.candidates(st, math.max(expTol, math.abs(fBefore) * 1e-9))
       if (z.isEmpty) done = true
       else {
         val fAfter = Expansion.expand(st, z)
         if (fAfter < fBefore - 1e-9) errors += 1
-        allowed = st.support
       }
     }
     Trace(st.result, outer, errors)

@@ -124,9 +124,12 @@ object DiffGraph {
 
   /** Collects a canonical edge-list DataFrame into the local CSR kernel.
     *
-    * Vertex ids must lie in `[0, n)`. This is the hand-off point between the
-    * data-parallel graph-construction phase and the driver-side local-search
-    * algorithms (SEACD/NewSEA/Refinement), whose working sets are tiny.
+    * Vertex ids must lie in `[0, n)`; one outside it is rejected while still
+    * a `Long`, before any narrowing. [[WGraph.fromEdges]] rejects the rest of
+    * the bad input (non-finite weights, self loops, duplicate pairs). This is
+    * the hand-off point between the data-parallel graph-construction phase
+    * and the driver-side local-search algorithms (SEACD/NewSEA/Refinement),
+    * whose working sets are tiny.
     */
   def toWGraph(diff: DataFrame, n: Int): WGraph = {
     val rows = diff.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double")).collect()
@@ -135,8 +138,11 @@ object DiffGraph {
     val ws = new Array[Double](rows.length)
     var i = 0
     while (i < rows.length) {
-      us(i) = rows(i).getLong(0).toInt
-      vs(i) = rows(i).getLong(1).toInt
+      val a = rows(i).getLong(0); val b = rows(i).getLong(1)
+      require(a >= 0 && a < n && b >= 0 && b < n,
+        s"edge ($a, $b, ${rows(i).getDouble(2)}): vertex id outside [0, $n)")
+      us(i) = a.toInt
+      vs(i) = b.toInt
       ws(i) = rows(i).getDouble(2)
       i += 1
     }

@@ -68,19 +68,8 @@ final class WGraph private (
     0.0
   }
 
-  /** Whether `(u, v)` is an edge. */
-  def hasEdge(u: Int, v: Int): Boolean = u != v && {
-    var lo = offsets(u); var hi = offsets(u + 1) - 1
-    var found = false
-    while (lo <= hi && !found) {
-      val mid = (lo + hi) >>> 1
-      val m = nbrs(mid)
-      if (m == v) found = true
-      else if (m < v) lo = mid + 1
-      else hi = mid - 1
-    }
-    found
-  }
+  /** Whether `(u, v)` is an edge (zero-weight edges are dropped at build). */
+  def hasEdge(u: Int, v: Int): Boolean = u != v && weight(u, v) != 0.0
 
   /** Total degree `W(S)` of the induced subgraph `G(S)` — both orientations
     * of each edge counted, per the paper's convention (see [[totalWeight]]).
@@ -149,17 +138,28 @@ final class WGraph private (
     out.toSeq
   }
 
-  /** A new graph keeping only edges with strictly positive weight (`G_{D+}`). */
+  /** A new graph keeping only edges with strictly positive weight (`G_{D+}`).
+    * Filters the sorted rows, so the new rows are sorted too.
+    */
   def positivePart: WGraph = {
-    val us = mutable.ArrayBuffer.empty[Int]
-    val vs = mutable.ArrayBuffer.empty[Int]
-    val ws = mutable.ArrayBuffer.empty[Double]
+    val offs = new Array[Int](n + 1)
     var u = 0
     while (u < n) {
-      foreachNbr(u) { (v, w) => if (v > u && w > 0.0) { us += u; vs += v; ws += w } }
+      var c = 0
+      var i = offsets(u)
+      while (i < offsets(u + 1)) { if (wts(i) > 0.0) c += 1; i += 1 }
+      offs(u + 1) = offs(u) + c
       u += 1
     }
-    WGraph.fromEdges(n, us.toArray, vs.toArray, ws.toArray)
+    val pn = new Array[Int](offs(n))
+    val pw = new Array[Double](offs(n))
+    var k = 0
+    var i = 0
+    while (i < nbrs.length) {
+      if (wts(i) > 0.0) { pn(k) = nbrs(i); pw(k) = wts(i); k += 1 }
+      i += 1
+    }
+    new WGraph(n, offs, pn, pw)
   }
 
   /** A new graph with every edge weight negated (Emerging <-> Disappearing). */
@@ -246,39 +246,61 @@ object WGraph {
 
   /** Builds a graph from one record per undirected edge.
     *
-    * Requires `0 <= us(i), vs(i) < n` and `us(i) != vs(i)`; duplicate pairs
-    * (in either orientation) must not occur. Zero-weight edges are dropped.
+    * Rejects an id outside `[0, n)`, a NaN or infinite weight, a self loop
+    * and a pair given twice (in either orientation); each message names the
+    * bad edge. Zero-weight edges are dropped.
+    *
+    * Rows come out sorted without a per-row sort: the arcs are first
+    * bucketed by neighbour id, then the buckets are read in increasing id
+    * order and each arc is appended to its owner's row.
     */
   def fromEdges(n: Int, us: Array[Int], vs: Array[Int], ws: Array[Double]): WGraph = {
     require(us.length == vs.length && vs.length == ws.length, "parallel edge arrays")
-    val keep = (0 until us.length).filter(i => ws(i) != 0.0)
     val deg = new Array[Int](n)
-    keep.foreach { i =>
-      require(us(i) != vs(i), s"self loop at ${us(i)}")
-      deg(us(i)) += 1; deg(vs(i)) += 1
+    var m = 0
+    var i = 0
+    while (i < us.length) {
+      val a = us(i); val b = vs(i); val w = ws(i)
+      require(a >= 0 && a < n && b >= 0 && b < n, s"edge ($a, $b, $w): vertex id outside [0, $n)")
+      require(!w.isNaN && !w.isInfinite, s"edge ($a, $b, $w): weight is not finite")
+      if (w != 0.0) {
+        require(a != b, s"edge ($a, $b, $w): self loop")
+        deg(a) += 1; deg(b) += 1; m += 1
+      }
+      i += 1
     }
     val offsets = new Array[Int](n + 1)
     var u = 0
     while (u < n) { offsets(u + 1) = offsets(u) + deg(u); u += 1 }
-    val fill = offsets.clone()
-    val nbrs = new Array[Int](keep.length * 2)
-    val wts = new Array[Double](keep.length * 2)
-    keep.foreach { i =>
-      val (a, b, w) = (us(i), vs(i), ws(i))
-      nbrs(fill(a)) = b; wts(fill(a)) = w; fill(a) += 1
-      nbrs(fill(b)) = a; wts(fill(b)) = w; fill(b) += 1
-    }
-    // sort each adjacency segment by neighbor id (weights follow)
-    u = 0
-    while (u < n) {
-      val from = offsets(u); val until = offsets(u + 1)
-      if (until - from > 1) {
-        val idx = (from until until).toArray.sortBy(nbrs)
-        val sn = idx.map(nbrs); val sw = idx.map(wts)
-        var k = 0
-        while (k < idx.length) { nbrs(from + k) = sn(k); wts(from + k) = sw(k); k += 1 }
+    // bucket v holds the arcs whose neighbour is v; the graph is symmetric,
+    // so bucket v has exactly the size of row v
+    val fill = java.util.Arrays.copyOf(offsets, n)
+    val owner = new Array[Int](2 * m)
+    val ownerW = new Array[Double](2 * m)
+    i = 0
+    while (i < us.length) {
+      val a = us(i); val b = vs(i); val w = ws(i)
+      if (w != 0.0) {
+        owner(fill(b)) = a; ownerW(fill(b)) = w; fill(b) += 1
+        owner(fill(a)) = b; ownerW(fill(a)) = w; fill(a) += 1
       }
-      u += 1
+      i += 1
+    }
+    System.arraycopy(offsets, 0, fill, 0, n)
+    val nbrs = new Array[Int](2 * m)
+    val wts = new Array[Double](2 * m)
+    var v = 0
+    while (v < n) {
+      var k = offsets(v)
+      while (k < offsets(v + 1)) {
+        val o = owner(k); val at = fill(o)
+        require(at == offsets(o) || nbrs(at - 1) != v,
+          s"edge (${math.min(o, v)}, ${math.max(o, v)}, ${ownerW(k)}): " +
+            s"pair already given with weight ${wts(at - 1)}")
+        nbrs(at) = v; wts(at) = ownerW(k); fill(o) += 1
+        k += 1
+      }
+      v += 1
     }
     new WGraph(n, offsets, nbrs, wts)
   }

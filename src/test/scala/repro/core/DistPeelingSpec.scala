@@ -47,8 +47,10 @@ class DistPeelingSpec extends SparkSpec {
   test("all-negative graph returns the trivial solution") {
     val g = repro.graph.WGraph(5, Seq((0, 1, -1.0), (2, 3, -2.0)))
     val r = DistPeeling.densest(DiffGraph.toDF(spark, g), eps = 0.1)
-    assert(r.best.isEmpty)
+    // the smallest vertex alone, density 0, as DCSGreedy.run answers
+    assert(r.best.toSeq == Seq(0L))
     assert(r.density == 0.0)
+    assert(DCSGreedy.run(g).s.toSeq == Seq(0))
   }
 
   test("distributed and exact peeling agree on the planted-structure optimum") {

@@ -134,6 +134,16 @@ class DiffGraphSpec extends SparkSpec {
     assert(rows == diff.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet)
   }
 
+  test("toWGraph rejects an id outside [0, n) before narrowing it to Int") {
+    // (1L << 32) + 1 narrows to the in-range id 1
+    for (bad <- Seq((1L, (1L << 32) + 1, 2.0), (-1L, 2L, 2.0), (2L, 8L, 2.0))) {
+      val e = intercept[IllegalArgumentException] {
+        DiffGraph.toWGraph(df(Seq((0L, 3L, 1.0), bad)), 8)
+      }
+      assert(e.getMessage.contains(s"edge (${bad._1}, ${bad._2}, ${bad._3})"), e.getMessage)
+    }
+  }
+
   test("degree aggregation agrees with DuckDB (oracle)") {
     val diff = DiffGraph.difference(g1, g2)
     val degrees = diff

@@ -23,6 +23,27 @@ class WGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { WGraph(2, Seq((1, 1, 1.0))) }
   }
 
+  test("an id outside [0, n) is rejected, naming the edge") {
+    for (bad <- Seq((0, 3, 1.5), (-1, 2, 1.5))) {
+      val e = intercept[IllegalArgumentException] { WGraph(3, Seq((0, 1, 1.0), bad)) }
+      assert(e.getMessage.contains(s"edge (${bad._1}, ${bad._2}, ${bad._3})"), e.getMessage)
+    }
+  }
+
+  test("a NaN or infinite weight is rejected, naming the edge") {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException] { WGraph(3, Seq((0, 1, 1.0), (1, 2, w))) }
+      assert(e.getMessage.contains(s"edge (1, 2, $w)"), e.getMessage)
+    }
+  }
+
+  test("a pair given twice, in either orientation, is rejected, naming the edge") {
+    for (dup <- Seq((0, 1, 2.0), (1, 0, 2.0))) {
+      val e = intercept[IllegalArgumentException] { WGraph(3, Seq((0, 1, 1.0), (1, 2, 1.0), dup)) }
+      assert(e.getMessage.contains("edge (0, 1, 2.0)") && e.getMessage.contains("weight 1.0"), e.getMessage)
+    }
+  }
+
   test("weight is symmetric and 0 for absent edges") {
     assert(triangle.weight(0, 1) == 1.0)
     assert(triangle.weight(1, 0) == 1.0)

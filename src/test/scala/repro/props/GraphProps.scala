@@ -35,6 +35,30 @@ object GraphProps extends Properties("WGraph") {
     g.positivePart.numEdges + g.negated.positivePart.numEdges == g.numEdges
   }
 
+  /** Undirected edges `(u, v, w)` with `u < v`, read off the CSR rows. */
+  private def edgesOf(g: WGraph): Seq[(Int, Int, Double)] =
+    for (u <- 0 until g.n; i <- g.offsets(u) until g.offsets(u + 1) if g.nbrs(i) > u)
+      yield (u, g.nbrs(i), g.wts(i))
+
+  private def sameCsr(a: WGraph, b: WGraph): Boolean =
+    a.n == b.n && a.offsets.sameElements(b.offsets) && a.nbrs.sameElements(b.nbrs) &&
+      java.util.Arrays.equals(a.wts, b.wts)
+
+  property("fromEdges ignores edge order and orientation; positivePart = fromEdges of the positive edges") =
+    Prop.forAll(genGraph, Gen.choose(0L, 100000L)) { (g, seed) =>
+      val rnd = new scala.util.Random(seed)
+      val edges = edgesOf(g)
+      val shuffled = rnd.shuffle(edges).map { case (u, v, w) => if (rnd.nextBoolean()) (v, u, w) else (u, v, w) }
+      val h = WGraph(g.n, shuffled)
+      // reference: every arc of every edge, sorted by (owner, neighbour)
+      val arcs = edges.flatMap { case (u, v, w) => Seq((u, v, w), (v, u, w)) }.sortBy(a => (a._1, a._2))
+      val offsets = (0 to g.n).map(u => arcs.count(_._1 < u))
+      h.offsets.toSeq == offsets && h.nbrs.toSeq == arcs.map(_._2) &&
+        java.util.Arrays.equals(h.wts, arcs.map(_._3).toArray) && sameCsr(g, h) &&
+        sameCsr(g.positivePart, WGraph(g.n, edges.filter(_._3 > 0.0))) &&
+        sameCsr(g.negated.positivePart, WGraph(g.n, edges.collect { case (u, v, w) if w < 0.0 => (u, v, -w) }))
+    }
+
   property("components partition the vertex subset") = Prop.forAll(genGraph) { g =>
     val s = (0 until g.n).filter(_ % 2 == 0)
     val comps = g.componentsOf(s)
